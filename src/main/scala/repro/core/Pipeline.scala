@@ -32,8 +32,10 @@ object Pipeline {
     }
   }
 
-  /** Run the offline phase: distributed supports + per-vertex aggregates,
-    * then index construction.
+  /** Run the offline phase: CSR collect, per-vertex aggregates (incident
+    * supports by CSR intersection, then the partition-parallel Alg. 2),
+    * then index construction. Each Spark job of the build is labelled
+    * with its phase ("build: csr", "build: precompute").
     */
   def build(
       spark: SparkSession,
@@ -42,9 +44,18 @@ object Pipeline {
       thetaGrid: Array[Double] = Precompute.DefaultThetaGrid,
       fanout: Int = 32): Built = {
     val t0 = System.nanoTime()
-    val g = SocialGraph.toGraphData(gf)
-    val rows = Precompute.offline(spark, g, gf.edges, rMax, thetaGrid)
+    val g = labelJobs(spark, "build: csr")(SocialGraph.toGraphData(gf))
+    val rows = labelJobs(spark, "build: precompute")(Precompute.offline(spark, g, rMax, thetaGrid))
     val index = TreeIndex.build(rows, fanout)
     Built(g, index, thetaGrid, rMax, (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** Run `f` with `label` as the description of the Spark jobs it starts,
+    * clearing the description afterwards.
+    */
+  private def labelJobs[A](spark: SparkSession, label: String)(f: => A): A = {
+    spark.sparkContext.setJobDescription(label)
+    try f
+    finally spark.sparkContext.setJobDescription(null)
   }
 }

@@ -24,7 +24,8 @@ import repro.truss.Support
   * The per-vertex work runs partition-parallel over vertex ranges with the
   * CSR graph and the incident-support array broadcast ("index over graph
   * partitions"); the incident supports themselves come from the
-  * distributed triangle-count dataflow in [[repro.truss.Support]].
+  * sorted-row intersection kernel [[repro.truss.Support.incidentMaxSupport]]
+  * over the same CSR graph, on the driver.
   */
 object Precompute {
 
@@ -37,7 +38,9 @@ object Precompute {
   final case class VertexAgg(id: Int, r: Int, bv: Long, ubSup: Int, sigmas: Array[Double])
 
   /** Distributed max-incident-edge-support per vertex: (id, inc), from the
-    * whole-graph edge supports. Vertices without edges are absent.
+    * whole-graph edge supports. Vertices without edges are absent. This is
+    * the DataFrame reference for [[repro.truss.Support.incidentMaxSupport]],
+    * which the build uses.
     */
   def incidentMaxSupport(spark: SparkSession, edges: org.apache.spark.sql.DataFrame): org.apache.spark.sql.DataFrame = {
     val sup = Support.edgeSupports(edges)
@@ -94,8 +97,7 @@ object Precompute {
       thetaGrid: Array[Double] = DefaultThetaGrid): Dataset[VertexAgg] = {
     import spark.implicits._
     spark
-      .range(bcG.value.n.toLong)
-      .repartition(spark.sparkContext.defaultParallelism * 4)
+      .range(0, bcG.value.n.toLong, 1, spark.sparkContext.defaultParallelism * 4)
       .mapPartitions { it =>
         val g = bcG.value
         val inc = bcInc.value
@@ -103,19 +105,20 @@ object Precompute {
       }
   }
 
-  /** Convenience: full offline phase from a [[GraphData]] + its edge
-    * DataFrame, returning the collected per-vertex aggregates ready for
-    * index construction.
+  /** Convenience: full offline phase from a [[GraphData]], returning the
+    * collected per-vertex aggregates ready for index construction.
     */
   def offline(
       spark: SparkSession,
       g: GraphData,
-      edges: org.apache.spark.sql.DataFrame,
       rMax: Int,
       thetaGrid: Array[Double] = DefaultThetaGrid): Array[VertexAgg] = {
     val bcG = spark.sparkContext.broadcast(g)
-    val inc = incidentMaxSupportArray(spark, edges, g.n)
-    val bcInc = spark.sparkContext.broadcast(inc)
-    run(spark, bcG, bcInc, rMax, thetaGrid).collect()
+    val bcInc = spark.sparkContext.broadcast(Support.incidentMaxSupport(g))
+    try run(spark, bcG, bcInc, rMax, thetaGrid).collect()
+    finally {
+      bcG.destroy()
+      bcInc.destroy()
+    }
   }
 }

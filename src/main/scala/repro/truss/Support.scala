@@ -2,14 +2,67 @@ package repro.truss
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.graph.GraphData
 
-/** Distributed edge-support computation (triangle counting) over the
-  * DataFrame edge representation — the offline, whole-graph pass that
-  * yields the paper's support upper bounds `ub_sup(e)`: the support of an
-  * edge in the full data graph G upper-bounds its support in any subgraph
-  * g ⊆ G (paper §IV-B discussion).
+/** Whole-graph edge supports (triangle counting), which yield the paper's
+  * support upper bounds `ub_sup(e)`: the support of an edge in the full
+  * data graph G upper-bounds its support in any subgraph g ⊆ G (paper
+  * §IV-B discussion).
+  *
+  * [[incidentMaxSupport]] is the kernel the offline build uses: a
+  * sorted-row intersection over the CSR graph. The DataFrame 3-way
+  * self-join below is the distributed reference it is tested against
+  * (itself checked row for row against DuckDB).
   */
 object Support {
+
+  /** Max whole-graph support of the edges incident to each vertex (0 for
+    * a vertex without edges), by intersecting the two sorted CSR rows of
+    * every edge u < v (the triangle-listing step of Wang & Cheng, "Truss
+    * decomposition in massive networks", PVLDB 2012).
+    *
+    * Rows must be sorted and symmetric, as [[repro.graph.SocialGraph.toGraphData]]
+    * builds them. Self loops and repeated neighbour ids are not counted as
+    * common neighbours (a repeated edge is only intersected again), so the
+    * result equals the one over [[canonicalEdges]] of the same edge list.
+    */
+  def incidentMaxSupport(g: GraphData): Array[Int] = {
+    val off = g.offsets
+    val nb = g.neigh
+    val inc = new Array[Int](g.n)
+    var u = 0
+    while (u < g.n) {
+      val uFrom = off(u)
+      val uUntil = off(u + 1)
+      var i = uFrom
+      while (i < uUntil) {
+        val v = nb(i)
+        if (v > u) {
+          // |N(u) ∩ N(v)| over distinct ids other than u and v.
+          var a = uFrom
+          var b = off(v)
+          val bUntil = off(v + 1)
+          var s = 0
+          while (a < uUntil && b < bUntil) {
+            val x = nb(a)
+            val y = nb(b)
+            if (x < y) a += 1
+            else if (x > y) b += 1
+            else {
+              if (x != u && x != v) s += 1
+              while (a < uUntil && nb(a) == x) a += 1
+              while (b < bUntil && nb(b) == x) b += 1
+            }
+          }
+          if (s > inc(u)) inc(u) = s
+          if (s > inc(v)) inc(v) = s
+        }
+        i += 1
+      }
+      u += 1
+    }
+    inc
+  }
 
   /** Canonical undirected edge list (src < dst, distinct) from a directed
     * edge DataFrame (src, dst, …).

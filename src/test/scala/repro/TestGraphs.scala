@@ -51,10 +51,12 @@ object TestGraphs {
       for { u <- 0 until n; v <- (u + 1) until n } yield (u, v),
       keywords = (0 until n).map(v => v -> Seq(0)).toMap, w = w)
 
-  /** Adjacency sets of the undirected structure of g. */
+  /** Adjacency sets of the undirected structure of g (self loops dropped,
+    * as [[Truss.Adj]] requires).
+    */
   def adjOf(g: GraphData): Truss.Adj = {
     val adj: Truss.Adj = Array.fill(g.n)(mutable.HashSet[Int]())
-    (0 until g.n).foreach { v => g.foreachNeighbor(v) { (u, _) => adj(v) += u } }
+    (0 until g.n).foreach { v => g.foreachNeighbor(v) { (u, _) => if (u != v) adj(v) += u } }
     adj
   }
 
@@ -100,8 +102,9 @@ object TestGraphs {
     best.toMap
   }
 
-  /** Max incident whole-graph edge support per vertex (local reference for
-    * [[repro.index.Precompute.incidentMaxSupportArray]]).
+  /** Max incident whole-graph edge support per vertex, from hash-set
+    * adjacency (local reference for [[repro.truss.Support.incidentMaxSupport]]
+    * and [[repro.index.Precompute.incidentMaxSupportArray]]).
     */
   def localIncSup(g: GraphData): Array[Int] = {
     val adj = adjOf(g)

@@ -35,9 +35,29 @@ class PrecomputeSparkSpec extends SparkSpec {
   }
 
   test("offline() output feeds TreeIndex.build without gaps") {
-    val rows = Precompute.offline(spark, gd, gf.edges, 2)
+    val rows = Precompute.offline(spark, gd, 2)
     val idx = TreeIndex.build(rows)
     assert(TreeIndex.vertices(idx).size == gd.n)
     assert(idx.agg.rMax == 2)
+  }
+
+  test("offline() with CSR supports is identical to run() fed the Spark supports, index order included") {
+    val dense = GraphGen.dblpLike(spark, 600, seed = 13L)
+    val g = SocialGraph.toGraphData(dense)
+    val rMax = 3
+    val viaCsr = Precompute.offline(spark, g, rMax)
+    val bcG = spark.sparkContext.broadcast(g)
+    val bcInc = spark.sparkContext.broadcast(Precompute.incidentMaxSupportArray(spark, dense.edges, g.n))
+    val viaJoin = Precompute.run(spark, bcG, bcInc, rMax).collect()
+    assert(viaJoin.map(_.ubSup).max > 2, "dblpLike should be triangle-dense")
+    val want = viaJoin.map(a => (a.id, a.r) -> a).toMap
+    assert(viaCsr.length == g.n * rMax && want.size == viaCsr.length)
+    viaCsr.foreach { got =>
+      val w = want((got.id, got.r))
+      assert(got.bv == w.bv && got.ubSup == w.ubSup, s"vertex ${got.id} r=${got.r}")
+      assert(got.sigmas.sameElements(w.sigmas), s"σ of vertex ${got.id} r=${got.r}")
+    }
+    val leafOrder = (rows: Array[Precompute.VertexAgg]) => TreeIndex.vertices(TreeIndex.build(rows)).map(_.id).toSeq
+    assert(leafOrder(viaCsr) == leafOrder(viaJoin))
   }
 }
